@@ -73,10 +73,23 @@ class RibltReconciler(StreamingReconciler):
         *,
         item_hashes: Optional[Sequence[int]] = None,
     ) -> "RibltReconciler":
-        codec = codec_for(params)
-        rec = cls(params, codec)
-        rec._encoder = RatelessEncoder(codec, items, item_hashes=item_hashes)
-        rec._set_size = rec._encoder.set_size
+        encoder = RatelessEncoder(codec_for(params), items, item_hashes=item_hashes)
+        return cls.from_encoder(encoder, params)
+
+    @classmethod
+    def from_encoder(
+        cls, encoder: RatelessEncoder, params: RibltParams
+    ) -> "RibltReconciler":
+        """A live reconciler streaming an existing encoder's set.
+
+        The encoder is adopted, not copied: its cached prefix is reused
+        and any cells this reconciler produces stay cached in it (a
+        client keeps its warm per-shard encoders across syncs this way).
+        ``encoder.codec`` must be the codec ``params`` describe.
+        """
+        rec = cls(params, encoder.codec)
+        rec._encoder = encoder
+        rec._set_size = encoder.set_size
         return rec
 
     @classmethod

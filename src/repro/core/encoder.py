@@ -100,7 +100,8 @@ class _StagedPool:
     are the symbols, ``idx``/``state`` the parked ``(current, splitmix64
     state)`` walk positions the batch samplers check out and back in.
     ``rows`` maps a symbol's integer value to its row; removal kills the
-    row in place (``alive`` mask) so array offsets stay stable.
+    row in place (``alive`` mask) so array offsets stay stable until
+    :meth:`compact` reclaims the dead rows.
     """
 
     __slots__ = ("values", "checksums", "idx", "state", "alive", "rows", "live")
@@ -113,6 +114,22 @@ class _StagedPool:
         self.alive = alive
         self.rows: dict[int, int] = {}
         self.live = 0
+
+    def compact(self) -> None:
+        """Drop dead rows, renumbering the live ones in ``rows`` order.
+
+        ``rows`` keeps its insertion order, so :meth:`RatelessEncoder.export_rows`
+        (and every durable snapshot) reads the same rows in the same order.
+        """
+        import numpy as np
+
+        order = np.fromiter(self.rows.values(), dtype=np.int64, count=self.live)
+        self.values = self.values[order]
+        self.checksums = self.checksums[order]
+        self.idx = self.idx[order]
+        self.state = self.state[order]
+        self.alive = np.ones(self.live, dtype=bool)
+        self.rows = dict(zip(self.rows, range(self.live)))
 
 
 class RatelessEncoder:
@@ -180,10 +197,10 @@ class RatelessEncoder:
         The whole batch is hashed through the codec's keyed batch face,
         then staged in the column pool (NumPy lane) or inserted through
         the per-item reference engine (``REPRO_NO_NUMPY``, wide symbols,
-        irregular mappings, tiny batches).  With a produced prefix the
-        batch patches the cached bank in one fused scatter.  Duplicates
-        anywhere — the set, the pool, or the batch itself — raise
-        ``KeyError`` before anything is inserted.
+        irregular mappings, tiny batches while no pool exists).  With a
+        produced prefix the batch patches the cached bank in one fused
+        scatter.  Duplicates anywhere — the set, the pool, or the batch
+        itself — raise ``KeyError`` before anything is inserted.
 
         ``item_hashes``, when given, must be the codec hasher's keyed
         64-bit hash of each item, in order (e.g. the values shard
@@ -208,19 +225,26 @@ class RatelessEncoder:
         pool_rows = pool.rows if pool is not None else {}
         # One C-speed sweep (set build + keys-view disjointness) replaces
         # the per-item membership loop; the loop only reruns to name the
-        # offending item when a duplicate is present.
+        # offending item when a duplicate is present.  A keys view probes
+        # the batch against the set, so a small patch never walks a
+        # large set.
         unique = set(values)
         if (
             len(unique) != len(values)
-            or (entries and not unique.isdisjoint(entries.keys()))
-            or (pool_rows and not unique.isdisjoint(pool_rows.keys()))
+            or (entries and not entries.keys().isdisjoint(unique))
+            or (pool_rows and not pool_rows.keys().isdisjoint(unique))
         ):
             seen: set[int] = set()
             for value in values:
                 if value in entries or value in pool_rows or value in seen:
                     raise KeyError(f"duplicate item: {value:#x}")
                 seen.add(value)
-        if len(values) >= NUMPY_MIN_JOBS and numpy_lane_eligible(codec):
+        # Once a pool exists, small batches join it too: a column row costs
+        # a fraction of a heap entry's objects, which a long-lived encoder
+        # under steady small churn would otherwise pile up.
+        if (
+            len(values) >= NUMPY_MIN_JOBS or pool is not None
+        ) and numpy_lane_eligible(codec):
             self._ingest_pooled(values, checksums)
             return
         frontier = len(self._bank)
@@ -351,17 +375,28 @@ class RatelessEncoder:
             pool = self._pool = _StagedPool(
                 vals, csums, idx, state, np.ones(n, dtype=bool)
             )
-            base = 0
+            slots = list(range(n))
         else:
-            base = pool.values.shape[0]
-            pool.values = np.concatenate([pool.values, vals])
-            pool.checksums = np.concatenate([pool.checksums, csums])
-            pool.idx = np.concatenate([pool.idx, idx])
-            pool.state = np.concatenate([pool.state, state])
-            pool.alive = np.concatenate([pool.alive, np.ones(n, dtype=bool)])
-        rows = pool.rows
-        for offset, value in enumerate(values):
-            rows[value] = base + offset
+            # Refill rows that removals killed before growing the arrays:
+            # under steady churn the pool is patched in place instead of
+            # reallocated per batch, which fragments the process heap.
+            free = np.flatnonzero(~pool.alive)[:n]
+            k = free.size
+            pool.values[free] = vals[:k]
+            pool.checksums[free] = csums[:k]
+            pool.idx[free] = idx[:k]
+            pool.state[free] = state[:k]
+            pool.alive[free] = True
+            slots = free.tolist()
+            if k < n:
+                base = pool.values.shape[0]
+                pool.values = np.concatenate([pool.values, vals[k:]])
+                pool.checksums = np.concatenate([pool.checksums, csums[k:]])
+                pool.idx = np.concatenate([pool.idx, idx[k:]])
+                pool.state = np.concatenate([pool.state, state[k:]])
+                pool.alive = np.concatenate([pool.alive, np.ones(n - k, dtype=bool)])
+                slots.extend(range(base, base + n - k))
+        pool.rows.update(zip(values, slots))
         pool.live += n
 
     def _materialize_pool(self) -> None:
@@ -449,12 +484,35 @@ class RatelessEncoder:
                 row = pool_rows.pop(value)
                 pool.alive[row] = False
                 pool.live -= 1
+        self._reclaim_dead()
         frontier = len(self._bank)
         if not frontier:
             return
         # Parked (current, state) pairs are discarded: removed symbols
         # have no future in the stream.
         self._patch_prefix_batch(values, checksums, -1, alphas, frontier)
+
+    def _reclaim_dead(self) -> None:
+        """Compact lazily deleted source rows once they outnumber live ones.
+
+        Removal only marks pool rows and heap entries dead.  Pool batches
+        refill dead rows, but removals that outpace additions (and heap
+        entries between produces) would pile them up without bound.
+        Compacting at the 2x mark keeps both at most twice their live
+        size, amortised O(1) per removal.  Neither the produced cells nor
+        the export order depend on the dropped rows.
+        """
+        pool = self._pool
+        if pool is not None and 2 * pool.live < pool.values.shape[0]:
+            if pool.live:
+                pool.compact()
+            else:
+                self._pool = None
+        heap = self._heap
+        if len(heap) > 2 * len(self._entries):
+            heap = [item for item in heap if item[2].alive]
+            heapq.heapify(heap)
+            self._heap = heap
 
     def remove_value(self, value: int) -> None:
         """Remove an item given in integer form."""
@@ -472,6 +530,7 @@ class RatelessEncoder:
             alpha = DEFAULT_ALPHA
         else:
             raise KeyError(f"item not in set: {value:#x}")
+        self._reclaim_dead()
         frontier = len(self._bank)
         if frontier:
             # XOR is self-inverse: replay the mapping to peel the symbol

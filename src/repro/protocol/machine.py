@@ -68,8 +68,9 @@ wire-compatible with pre-engine peers.  Capability dispatch:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
+from repro.api.adapters.riblt import RibltReconciler
 from repro.api.base import (
     ReconcileError,
     StreamingReconciler,
@@ -77,6 +78,7 @@ from repro.api.base import (
 )
 from repro.api.registry import Scheme
 from repro.baselines.strata import StrataEstimator
+from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
 from repro.protocol.events import (
     ClusterInfo,
@@ -338,6 +340,14 @@ class InitiatorMachine(ReconcilerMachine):
     legacy drivers; ``use_estimator=True`` (agreed out of band with the
     responder, not negotiated) runs the strata exchange first and sizes
     the initial sketch as ``ceil(estimate × estimate_margin)``.
+
+    ``encoders_for`` (riblt only) supplies the local set as ready-made
+    encoders instead of ``items``: called at WELCOME with the total shard
+    count, it returns one :class:`~repro.core.encoder.RatelessEncoder`
+    per global shard, each holding exactly that shard's members, and the
+    machine streams against them instead of hashing, partitioning and
+    encoding a set itself (the client's warm encoders).  Such a session
+    must run STREAM mode.
     """
 
     def __init__(
@@ -356,6 +366,7 @@ class InitiatorMachine(ReconcilerMachine):
         max_frame: int = MAX_FRAME_BYTES,
         item_hashes: Optional[Sequence[int]] = None,
         expect_worker: Optional[int] = None,
+        encoders_for: Optional[Callable[[int], Sequence[RatelessEncoder]]] = None,
     ) -> None:
         super().__init__(max_frame)
         if handle.params.symbol_size is None:
@@ -375,6 +386,7 @@ class InitiatorMachine(ReconcilerMachine):
         self._hash64 = hash64_of(handle, self.codec)
         self._item_hashes = list(item_hashes) if item_hashes is not None else None
         self.expect_worker = expect_worker
+        self._encoders_for = encoders_for
         self.cluster: Optional[ClusterInfo] = None
         self._state = "welcome"
         self._mode: Optional[SyncMode] = None
@@ -490,6 +502,23 @@ class InitiatorMachine(ReconcilerMachine):
             owned = list(range(granted))
         self.cluster = cluster
         self._mode = mode
+        self._remaining = len(owned)
+        if self._payloads is not None:
+            self._payloads = {g: bytearray() for g in owned}
+        if self._encoders_for is not None:
+            if mode != SyncMode.STREAM:
+                raise ProtocolError(
+                    f"scheme {self.handle.name!r} streams, but the server "
+                    f"announced {mode.name} mode"
+                )
+            encoders = self._encoders_for(total)
+            self._shards = [_InitiatorShard(g, [], []) for g in owned]
+            for st in self._shards:
+                st.reconciler = RibltReconciler.from_encoder(
+                    encoders[st.tally.shard], self.handle.params
+                )
+            self._state = "stream"
+            return
         hashes = self._item_hashes
         if hashes is None:
             hashes = hash_items(self._hash64, self.items)
@@ -497,9 +526,6 @@ class InitiatorMachine(ReconcilerMachine):
         self._shards = [
             _InitiatorShard(g, parts[g], part_hashes[g]) for g in owned
         ]
-        self._remaining = len(owned)
-        if self._payloads is not None:
-            self._payloads = {g: bytearray() for g in owned}
         if mode == SyncMode.STREAM:
             for st in self._shards:
                 reconciler = self.handle.new(st.items, item_hashes=st.hashes)

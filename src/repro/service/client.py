@@ -25,17 +25,29 @@ stream) means both ends are alive and disagree, and retrying would just
 replay the disagreement — unless ``retry_frame_errors`` opts into
 treating corruption-shaped failures as transient (chaos testing over
 deliberately lossy links).
+
+Warm encoders: a riblt sync keeps the client's per-shard encoders for
+the next one, exactly as the server keeps its warm banks.  A repeat sync
+hashes and places only the items that changed since the last sync and
+patches them into the cached banks (linearity, §4.1); every cell an
+earlier sync produced is reused.  The process holds one such entry (see
+:class:`_WarmCheckout`); other schemes hash and encode the whole set
+per sync.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import threading
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable, Iterator, Optional
 
 import repro.protocol.machine as protocol_machine
 from repro.api.registry import Scheme, get_scheme
+from repro.core.encoder import RatelessEncoder
+from repro.core.symbols import SymbolCodec
 from repro.protocol.events import ClusterInfo
 from repro.api.base import SymbolBudgetExceeded
 from repro.service.defaults import with_service_hasher
@@ -47,7 +59,7 @@ from repro.service.errors import (
     WorkerUnavailable,
 )
 from repro.service.framing import FrameError, MAX_FRAME_BYTES, SyncMode
-from repro.service.shard import hash_items
+from repro.service.shard import hash_items, partition_items, partition_with_hashes
 
 # Give up on a sketch-mode shard after this many doublings (mirrors
 # repro.protocol.machine.DEFAULT_MAX_ROUNDS).
@@ -143,6 +155,102 @@ class SyncResult:
         return len(self.only_in_server) + len(self.only_in_client)
 
 
+@dataclass
+class _WarmEntry:
+    """A synced set, encoded per shard with its produced cells cached.
+
+    ``members`` is the set itself (the ``dict.fromkeys`` :func:`sync`
+    builds anyway); ``encoders[g]`` holds global shard ``g``'s members.
+    """
+
+    key: tuple  # (scheme params, total shard count)
+    members: dict
+    encoders: list
+
+
+_warm: Optional[_WarmEntry] = None
+"""The process's one warm entry: the last successful riblt sync's set."""
+
+_warm_lock = threading.Lock()  # syncs may run in several threads' loops
+
+
+def _swap_warm(entry: Optional[_WarmEntry]) -> Optional[_WarmEntry]:
+    """Put ``entry`` in the slot and return what was there."""
+    global _warm
+    with _warm_lock:
+        previous, _warm = _warm, entry
+    return previous
+
+
+def clear_warm_encoders() -> None:
+    """Release the warm entry (the next riblt sync builds fresh)."""
+    _swap_warm(None)
+
+
+class _WarmCheckout:
+    """One sync's hold on the warm entry.
+
+    The entry is taken out of the slot when the sync starts, so a
+    concurrent sync in the same process finds it empty and builds fresh,
+    and it is parked back only by :meth:`park`, after the sync succeeded.
+    Every session of the sync (the first worker, its cluster siblings,
+    retried attempts) asks for its encoders through :meth:`encoders_for`;
+    the first ask brings the entry to this sync's set, later asks reuse
+    it, and the siblings' shards are disjoint.
+    """
+
+    def __init__(self, handle: Scheme, codec: SymbolCodec, members: dict) -> None:
+        self._entry = _swap_warm(None)
+        self._params = handle.params
+        self._codec = codec
+        self._members = members
+
+    def encoders_for(self, total: int) -> list:
+        """One encoder per global shard, holding exactly this sync's set.
+
+        Patches the entry when it matches the key (params and shard
+        count) and the delta is smaller than the set: only the delta is
+        hashed and placed, and each shard takes one batch removal and one
+        batch addition.  Otherwise builds fresh through the same code,
+        with the whole set as the delta.
+        """
+        key = (self._params, total)
+        members = self._members
+        entry = self._entry
+        if entry is not None and entry.key == key and entry.members is members:
+            return entry.encoders
+        self._entry = None  # a patch that raises leaves nothing to park
+        fresh = True
+        if entry is not None and entry.key == key:
+            old = entry.members
+            removed = list(filterfalse(members.__contains__, old))
+            added = list(filterfalse(old.__contains__, members))
+            fresh = len(removed) + len(added) >= len(members)
+        if fresh:
+            entry = None  # free the stale banks before building fresh ones
+            encoders = [RatelessEncoder(self._codec) for _ in range(total)]
+            removed, added = [], list(members)
+        else:
+            encoders = entry.encoders
+        hash64 = self._codec.hasher.hash64
+        for encoder, group in zip(encoders, partition_items(hash64, removed, total)):
+            if group:
+                encoder.remove_items(group)
+        parts, part_hashes = partition_with_hashes(
+            added, hash_items(hash64, added), total
+        )
+        for encoder, part, hashes in zip(encoders, parts, part_hashes):
+            if part:
+                encoder.add_items(part, item_hashes=hashes)
+        self._entry = _WarmEntry(key, members, encoders)
+        return encoders
+
+    def park(self) -> None:
+        """Make this sync's entry the process's warm entry."""
+        if self._entry is not None:
+            _swap_warm(self._entry)
+
+
 def _to_sync_result(report) -> SyncResult:
     result = SyncResult(
         scheme=report.scheme,
@@ -206,21 +314,25 @@ async def sync(
     :class:`~repro.service.errors.IdleTimeout` instead of hanging on a
     blackholed link (``None`` = wait forever, the historical default).
     """
-    materialised = list(dict.fromkeys(items))
+    members = dict.fromkeys(items)
     handle = get_scheme(scheme, **with_service_hasher(scheme, params))
     if handle.params.symbol_size is None:
-        if not materialised:
+        if not members:
             raise ValueError("syncing an empty set needs an explicit symbol_size")
-        handle = handle.with_params(symbol_size=len(materialised[0]))
-    # Hash every item exactly once per sync: shard placement and codec
-    # checksums consume the same keyed values, and in a cluster every
-    # worker session reuses this one list.
+        handle = handle.with_params(symbol_size=len(next(iter(members))))
     codec = protocol_machine.codec_of(handle)
-    item_hashes = (
-        hash_items(codec.hasher.hash64, materialised)
-        if codec is not None and materialised
-        else None
-    )
+    warm: Optional[_WarmCheckout] = None
+    materialised: list = []  # the machines stream warm encoders instead
+    item_hashes = None
+    if handle.name == "riblt" and codec is not None:
+        warm = _WarmCheckout(handle, codec, members)
+    else:
+        materialised = list(members)
+        if codec is not None and materialised:
+            # Hash every item exactly once per sync: shard placement and
+            # codec checksums consume the same keyed values, and in a
+            # cluster every worker session reuses this one list.
+            item_hashes = hash_items(codec.hasher.hash64, materialised)
 
     async def _session(
         session_host: str,
@@ -247,6 +359,7 @@ async def sync(
                 expect_worker=expect_worker,
                 on_cluster=on_cluster,
                 idle_timeout=idle_timeout,
+                encoders_for=warm.encoders_for if warm is not None else None,
             )
         finally:
             writer.close()
@@ -285,6 +398,8 @@ async def sync(
                 task.cancel()
             await asyncio.gather(*siblings, return_exceptions=True)
             raise
+        if warm is not None:
+            warm.park()
         if not cluster_box or cluster_box[0].num_workers == 1:
             return first
         return _merge_cluster(cluster_box[0], [first, *others])
@@ -354,6 +469,7 @@ async def _sync_over(
     expect_worker: Optional[int] = None,
     on_cluster=None,
     idle_timeout: Optional[float] = None,
+    encoders_for=None,
 ) -> SyncResult:
     """Shuttle bytes between the stream pair and an initiator machine.
 
@@ -384,6 +500,7 @@ async def _sync_over(
         max_frame=max_frame,
         item_hashes=item_hashes,
         expect_worker=expect_worker,
+        encoders_for=encoders_for,
     )
     machine.start()
     cluster_seen = False

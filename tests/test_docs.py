@@ -224,6 +224,21 @@ def test_operations_cluster_limit_fields_exist():
         assert f"`{name}`" in body, f"ClusterConfig.{name} undocumented"
 
 
+def test_operations_warm_entry_key_matches_riblt_params():
+    """The documented key of the client's warm entry is every field of
+    ``RibltParams`` (the client keys on the params object itself)."""
+    import dataclasses
+
+    from repro.api.adapters.riblt import RibltParams
+    from repro.service import client
+
+    body = section(doc_text("operations.md"), "Client memory: the warm entry")
+    documented = set(re.findall(r"`(\w+)`", body))
+    fields = {f.name for f in dataclasses.fields(RibltParams)}
+    assert fields <= documented, f"undocumented key fields {fields - documented}"
+    assert "clear_warm_encoders" in body and callable(client.clear_warm_encoders)
+
+
 def test_operations_chaos_schedule_fields_match_spec():
     """The schedule-JSON table documents exactly the ``FaultSpec``
     fields — no stale rows, no undocumented faults — and the documented

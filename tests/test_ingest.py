@@ -137,6 +137,63 @@ def test_pool_survives_numpy_lane_loss(rng):
     assert head + tail == reference.produce_block(100).cells()
 
 
+@pytest.fixture(params=[True, False], ids=["numpy", "scalar"])
+def lane(request, monkeypatch):
+    if request.param and cellbank._np is None:
+        pytest.skip("NumPy not available")
+    monkeypatch.setattr(cellbank, "NUMPY_LANE", request.param)
+    return request.param
+
+
+def _stored_rows(encoder):
+    """Source rows the encoder holds, dead or alive (pool rows + heap)."""
+    pool = encoder._pool
+    return (pool.values.shape[0] if pool is not None else 0) + len(encoder._heap)
+
+
+def _rows_by_value(encoder):
+    values, checksums, currents, states = encoder.export_rows()
+    return dict(zip(values, zip(checksums, currents, states)))
+
+
+def test_churn_reclaims_dead_rows(lane, rng):
+    """Under steady churn the encoder holds at most 2x its live rows (the
+    pool refills dead rows in place); compaction keeps the export order,
+    and the end state equals a fresh encoder's over the same set and
+    prefix."""
+    codec = SymbolCodec(8)
+    everything = make_items(rng, 2000 + 24 * 301)
+    live, fresh = everything[:2000], everything[2000:]
+    encoder = RatelessEncoder(codec, live)
+    encoder.produce_block(64)
+    for round_ in range(24):
+        gone = rng.sample(live, 301)
+        gone_values = set(codec.to_int_batch(gone))
+        before = encoder.export_rows()
+        encoder.remove_items(gone[:-1])
+        encoder.remove_item(gone[-1])
+        kept = [i for i, value in enumerate(before[0]) if value not in gone_values]
+        assert encoder.export_rows() == tuple(
+            [column[i] for i in kept] for column in before
+        )
+        added = [fresh.pop() for _ in range(301)]
+        encoder.add_items(added[:-1])
+        encoder.add_item(added[-1])
+        live = [x for x in live if x not in set(gone)] + added
+        if round_ % 8 == 7:  # rare produces: dead heap entries linger between
+            encoder.produce_block(16)
+        assert len(encoder) == len(live)
+        assert _stored_rows(encoder) <= 2 * len(encoder)
+        if lane:  # batches refill the rows removals killed: no growth
+            assert encoder._pool.values.shape[0] == 2000
+    reference = RatelessEncoder(codec, live)
+    produced = encoder.produced_count
+    assert reference.produce_block(produced).cells() == (
+        encoder.bank.slice(0, produced).cells()
+    )
+    assert _rows_by_value(encoder) == _rows_by_value(reference)
+
+
 def test_empty_batches_are_noops(rng):
     enc = RatelessEncoder(SymbolCodec(8), make_items(rng, 10))
     enc.add_items([])
